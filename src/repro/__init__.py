@@ -18,6 +18,16 @@ provides:
 
 __version__ = "1.0.0"
 
-from . import analysis, data, framework, profiling, rl, workloads
+from . import data, framework, profiling, rl, workloads
 
 __all__ = ["framework", "workloads", "data", "rl", "profiling", "analysis"]
+
+
+def __getattr__(name):
+    # analysis sits on top of everything, the cluster runtime included;
+    # loading it on first use keeps ``import repro.framework`` (and the
+    # tracer) from pulling in the domain packages.
+    if name == "analysis":
+        import importlib
+        return importlib.import_module(".analysis", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

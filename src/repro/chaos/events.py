@@ -1,17 +1,15 @@
-"""Campaign events: the fifth tracer event family.
+"""Campaign events: how a chaos campaign narrates itself.
 
-A chaos campaign narrates itself into the shared tracer stream the same
-way the resilient runner, healing policy, serving layer, and cluster
-runtime do — one frozen dataclass per occurrence, duck-typed apart from
-the other families by its marker field (here ``oracle``; see
-:meth:`repro.profiling.tracer.Tracer.campaign_events`). Campaign events
-persist through :mod:`repro.profiling.serialize` like every other
-family, so a saved campaign trace replays its verdict history exactly.
+One frozen dataclass per occurrence, the ``campaign`` family of
+:mod:`repro.framework.events`, so a saved campaign trace replays its
+verdict history exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+from repro.framework.events import event_family
 
 #: every campaign event kind, in lifecycle order
 CAMPAIGN_EVENT_KINDS = (
@@ -23,6 +21,7 @@ CAMPAIGN_EVENT_KINDS = (
 )
 
 
+@event_family("campaign")
 @dataclass(frozen=True)
 class CampaignEvent:
     """One chaos-campaign occurrence.
@@ -31,9 +30,7 @@ class CampaignEvent:
         step: the campaign's schedule index (-1 for baseline events).
         kind: one of :data:`CAMPAIGN_EVENT_KINDS`.
         oracle: the oracle being judged, for verdict/violation/minimized
-            events (``None`` for schedule/baseline events — the field
-            must exist on every instance: it is the duck-typing marker
-            that routes campaign events in the tracer).
+            events (``None`` for schedule/baseline events).
         harness: the harness name the campaign is driving.
         ok: the verdict, for verdict events (``None`` otherwise).
         seconds_lost: virtual seconds the schedule's run consumed.

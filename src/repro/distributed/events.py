@@ -4,18 +4,15 @@ Every observable action the cluster runtime takes — checkpoints, worker
 crashes and restarts, straggler verdicts, backup promotions, message
 timeouts and retransmits, collective-to-PS fallback, membership changes,
 gradient-attestation verdicts and quarantines/evictions
-— is recorded as one :class:`ClusterEvent`. Events flow through the same
-``tracer.record_event`` hook as
-:class:`~repro.framework.resilience.FailureEvent`,
-:class:`~repro.framework.session.DegradationEvent`, and
-:class:`~repro.serving.events.ServingEvent`, and are persisted by
-:mod:`repro.profiling.serialize`; the tracer distinguishes the family by
-duck-typing on the ``worker`` field.
+— is recorded as one :class:`ClusterEvent`, the ``cluster`` family of
+:mod:`repro.framework.events`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+from repro.framework.events import event_family
 
 #: every kind the runtime emits, for reference and validation
 CLUSTER_EVENT_KINDS = (
@@ -41,6 +38,7 @@ CLUSTER_EVENT_KINDS = (
 )
 
 
+@event_family("cluster")
 @dataclass(frozen=True)
 class ClusterEvent:
     """One action of the data-parallel cluster runtime.

@@ -52,6 +52,7 @@ import numpy as np
 
 from repro.framework import checkpoint as checkpoint_lib
 from repro.framework.device_model import cpu
+from repro.framework.events import event_to_blob
 from repro.framework.faults import ClusterFaultInjector, ClusterFaultPlan
 from repro.framework.resilience import BackoffPolicy
 from repro.framework.session import GuardrailPolicy, SessionSnapshot
@@ -207,12 +208,7 @@ class ClusterRunResult:
                 "workers": self.workers, "steps": self.steps,
                 "losses": self.losses,
                 "elapsed_seconds": self.elapsed_seconds,
-                "events": [{"step": e.step, "kind": e.kind,
-                            "worker": e.worker,
-                            "link": list(e.link) if e.link else None,
-                            "strategy": e.strategy,
-                            "seconds_lost": e.seconds_lost,
-                            "detail": e.detail} for e in self.events],
+                "events": [event_to_blob(e) for e in self.events],
                 "injected": [list(sig) for sig in self.injected]}
 
 

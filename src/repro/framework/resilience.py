@@ -43,6 +43,7 @@ import numpy as np
 from . import checkpoint as checkpoint_lib
 from .clock import SystemClock
 from .errors import ExecutionError, FrameworkError
+from .events import event_family
 from .session import (DegradationEvent, GuardrailPolicy, HealingConfig,
                       HealingPolicy)
 
@@ -61,6 +62,7 @@ class NonFiniteLossError(FrameworkError):
         self.value = value
 
 
+@event_family("failure")
 @dataclass(frozen=True)
 class FailureEvent:
     """One structured recovery action taken by the resilient runner.
@@ -85,13 +87,6 @@ class FailureEvent:
     def signature(self) -> tuple:
         """Timing-free identity, for determinism comparisons."""
         return (self.step, self.kind, self.op_name, self.attempt)
-
-
-class EventSink(Protocol):
-    """Tracers that also want recovery events implement ``record_event``."""
-
-    def record_event(self, event: FailureEvent) -> None:  # pragma: no cover
-        ...
 
 
 class BackoffPolicy:

@@ -31,6 +31,7 @@ from typing import TYPE_CHECKING, Any, Mapping, Protocol, Sequence
 import numpy as np
 
 from .errors import ExecutionError, FeedError, GuardrailViolation
+from .events import event_family
 from .graph import Graph, Operation, Tensor, get_default_graph
 from .memory import K_CONST, K_PLACEHOLDER, K_REGION
 from .ops.state_ops import Placeholder, VariableOp
@@ -61,8 +62,6 @@ class GuardrailPolicy:
 
     on_violation: str = "raise"
     overflow_limit: float | None = None
-    #: internal: preserve the historical "(check_numerics)" message
-    legacy_check_numerics: bool = False
 
     _POLICIES = ("raise", "zero", "deoptimize")
 
@@ -83,6 +82,7 @@ class GuardrailPolicy:
             f"None; got {type(value).__name__}")
 
 
+@event_family("degradation")
 @dataclass(frozen=True)
 class DegradationEvent:
     """One self-healing action: degradation, quarantine, or recovery.
@@ -575,8 +575,7 @@ class Session:
 
         guard = GuardrailPolicy.coerce(guardrails)
         if guard is None and check_numerics:
-            guard = GuardrailPolicy(on_violation="raise",
-                                    legacy_check_numerics=True)
+            guard = GuardrailPolicy(on_violation="raise")
         if guard is None:
             guard = self.guardrails
         safe = self.safe_mode
@@ -792,36 +791,40 @@ class Session:
             bad = ~np.isfinite(value)
             if guard.overflow_limit is not None:
                 bad |= np.abs(value) > guard.overflow_limit
-            if not bad.any():
-                continue
-            op = member.op
-            if guard.on_violation == "zero":
-                patched = value.copy()
-                patched[bad] = 0
-                values[slot] = patched
-                self._degrade(DegradationEvent(
-                    step=run_index, kind="guardrail", op_name=op.name,
-                    tier=self.execution_tier,
-                    detail=f"zeroed {int(bad.sum())} flagged value(s) "
-                           f"in {tensor.name}"), tracer)
-                continue
-            label = ("NaN" if np.isnan(value).any()
-                     else "Inf" if np.isinf(value).any() else "overflow")
-            if guard.on_violation == "deoptimize":
-                error: ExecutionError = GuardrailViolation(
-                    op.name,
-                    f"produced {label} in {tensor.name} "
-                    f"(guardrail: deoptimize)",
-                    deoptimize_hint=True)
-            else:
-                suffix = ("check_numerics" if guard.legacy_check_numerics
-                          else "guardrail")
-                error = ExecutionError(
-                    op.name,
-                    f"produced {label} in {tensor.name} ({suffix})")
-            error.attach_provenance(member.provenance,
-                                    member.origin_pass or "codegen")
-            raise error
+            if bad.any():
+                values[slot] = self._violation(
+                    member.op, tensor, value, bad, guard, member.provenance,
+                    member.origin_pass or "codegen", tracer, run_index)
+
+    def _violation(self, op, tensor, value, bad, guard: GuardrailPolicy,
+                   provenance, origin_pass, tracer, run_index: int):
+        """The screens' shared cold path: ``bad`` flags part of ``value``.
+
+        Under the ``"zero"`` policy returns a copy with the flagged
+        elements zeroed and records the guardrail event; otherwise
+        raises the policy's error, blamed through ``provenance``.
+        """
+        if guard.on_violation == "zero":
+            patched = value.copy()
+            patched[bad] = 0
+            self._degrade(DegradationEvent(
+                step=run_index, kind="guardrail", op_name=op.name,
+                tier=self.execution_tier,
+                detail=f"zeroed {int(bad.sum())} flagged value(s) "
+                       f"in {tensor.name}"), tracer)
+            return patched
+        label = ("NaN" if np.isnan(value).any()
+                 else "Inf" if np.isinf(value).any() else "overflow")
+        if guard.on_violation == "deoptimize":
+            error: ExecutionError = GuardrailViolation(
+                op.name,
+                f"produced {label} in {tensor.name} (guardrail: deoptimize)",
+                deoptimize_hint=True)
+        else:
+            error = ExecutionError(
+                op.name, f"produced {label} in {tensor.name} (guardrail)")
+        error.attach_provenance(provenance, origin_pass)
+        raise error
 
     def _screen_outputs(self, step, outputs, guard: GuardrailPolicy,
                         tracer, run_index: int):
@@ -842,36 +845,13 @@ class Session:
             bad = ~np.isfinite(value)
             if guard.overflow_limit is not None:
                 bad |= np.abs(value) > guard.overflow_limit
-            if not bad.any():
-                continue
-            if guard.on_violation == "zero":
+            if bad.any():
+                patched = self._violation(
+                    op, tensor, value, bad, guard, step.provenance,
+                    step.origin_pass, tracer, run_index)
                 if screened is None:
                     screened = [np.asarray(v) for v in outputs]
-                patched = value.copy()
-                patched[bad] = 0
                 screened[index] = patched
-                self._degrade(DegradationEvent(
-                    step=run_index, kind="guardrail", op_name=op.name,
-                    tier=self.execution_tier,
-                    detail=f"zeroed {int(bad.sum())} flagged value(s) "
-                           f"in {tensor.name}"), tracer)
-                continue
-            label = ("NaN" if np.isnan(value).any()
-                     else "Inf" if np.isinf(value).any() else "overflow")
-            if guard.on_violation == "deoptimize":
-                error: ExecutionError = GuardrailViolation(
-                    op.name,
-                    f"produced {label} in {tensor.name} "
-                    f"(guardrail: deoptimize)",
-                    deoptimize_hint=True)
-            else:
-                suffix = ("check_numerics" if guard.legacy_check_numerics
-                          else "guardrail")
-                error = ExecutionError(
-                    op.name,
-                    f"produced {label} in {tensor.name} ({suffix})")
-            error.attach_provenance(step.provenance, step.origin_pass)
-            raise error
         return outputs if screened is None else tuple(screened)
 
     def _validate_feeds(self, feed_dict: Mapping[Tensor, Any]) -> dict[int, np.ndarray]:

@@ -13,16 +13,31 @@ model on another.
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
 from dataclasses import dataclass
 
 from repro.framework.cost_model import WorkEstimate
+from repro.framework.events import event_from_blob, event_to_blob
 from repro.framework.graph import OpClass
 
-from .tracer import Tracer
+from .tracer import OpRecord, StepLog, Tracer
 
 FORMAT_VERSION = 1
+
+#: event family -> module whose import registers it, in header order:
+#: the file holds one ``<family>_events`` list per row. Domain packages
+#: are named here and nowhere below, and imported only to load a trace
+#: that has events of theirs.
+FAMILY_MODULES = {
+    "failure": "repro.framework.resilience",
+    "degradation": "repro.framework.session",
+    "serving": "repro.serving.events",
+    "cluster": "repro.distributed.events",
+    "campaign": "repro.chaos.events",
+    "storage": "repro.storage.events",
+}
 
 
 @dataclass(frozen=True)
@@ -38,27 +53,10 @@ class SavedOp:
         return self._work
 
 
-@dataclass(frozen=True)
-class SavedRecord:
-    """Stand-in for an OpRecord, backed by deserialized data."""
-
-    op: SavedOp
-    seconds: float
-    step: int
-
-    @property
-    def op_type(self) -> str:
-        return self.op.type_name
-
-    @property
-    def op_class(self) -> OpClass:
-        return self.op.op_class
-
-
-class SavedTrace:
+class SavedTrace(StepLog):
     """A deserialized trace, API-compatible with Tracer for profiling."""
 
-    def __init__(self, records: list[SavedRecord], step_totals: list[float],
+    def __init__(self, records: list[OpRecord], step_totals: list[float],
                  step_peak_bytes: list[int], metadata: dict,
                  total_op_seconds: float | None = None,
                  events: list | None = None,
@@ -71,66 +69,7 @@ class SavedTrace:
         self.compile_records = compile_records or []
         self._total_op_seconds = total_op_seconds
 
-    def failure_events(self, kind: str | None = None) -> list:
-        events = [e for e in self.events
-                  if not hasattr(e, "pass_name")
-                  and not hasattr(e, "outcome")
-                  and not hasattr(e, "worker")
-                  and not hasattr(e, "oracle")
-                  and not hasattr(e, "store")]
-        if kind is None:
-            return events
-        return [e for e in events if e.kind == kind]
-
-    def degradation_events(self, kind: str | None = None) -> list:
-        """Self-healing events persisted with the trace, in emit order."""
-        events = [e for e in self.events if hasattr(e, "pass_name")]
-        if kind is None:
-            return events
-        return [e for e in events if e.kind == kind]
-
-    def serving_events(self, kind: str | None = None) -> list:
-        """Serving SLO events persisted with the trace, in emit order."""
-        events = [e for e in self.events if hasattr(e, "outcome")]
-        if kind is None:
-            return events
-        return [e for e in events if e.kind == kind]
-
-    def fleet_events(self, kind: str | None = None) -> list:
-        """The fleet-scoped slice of :meth:`serving_events`."""
-        return [e for e in self.serving_events(kind)
-                if getattr(e, "zone", None) is not None
-                or getattr(e, "server", None) is not None]
-
-    def cluster_events(self, kind: str | None = None) -> list:
-        """Distributed-training events persisted with the trace."""
-        events = [e for e in self.events if hasattr(e, "worker")]
-        if kind is None:
-            return events
-        return [e for e in events if e.kind == kind]
-
-    def campaign_events(self, kind: str | None = None) -> list:
-        """Chaos-campaign events persisted with the trace."""
-        events = [e for e in self.events if hasattr(e, "oracle")]
-        if kind is None:
-            return events
-        return [e for e in events if e.kind == kind]
-
-    def storage_events(self, kind: str | None = None) -> list:
-        """Checkpoint-durability events persisted with the trace."""
-        events = [e for e in self.events if hasattr(e, "store")]
-        if kind is None:
-            return events
-        return [e for e in events if e.kind == kind]
-
-    def fault_seconds(self) -> float:
-        return sum(e.seconds_lost for e in self.events)
-
-    @property
-    def num_steps(self) -> int:
-        return len(self.step_totals)
-
-    def compute_records(self) -> list[SavedRecord]:
+    def compute_records(self) -> list[OpRecord]:
         # Structural ops are filtered at save time.
         return self.records
 
@@ -139,66 +78,19 @@ class SavedTrace:
             return self._total_op_seconds
         return sum(r.seconds for r in self.records)
 
-    def framework_overhead_fraction(self) -> float:
-        total = sum(self.step_totals)
-        if total == 0.0:
-            return 0.0
-        return max(0.0, total - self.total_op_seconds()) / total
-
 
 def save_trace(tracer: Tracer, path: str | os.PathLike,
                metadata: dict | None = None) -> int:
     """Write a tracer's compute records to ``path``; returns record count."""
     records = tracer.compute_records()
-    # Failure, degradation, and serving events share one ordered stream
-    # in the tracer; persist them as separate header lists (each family
-    # carries different fields) tagged with a shared ``seq`` so loading
-    # restores the interleaved emit order exactly.
-    failure_blobs: list[dict] = []
-    degradation_blobs: list[dict] = []
-    serving_blobs: list[dict] = []
-    cluster_blobs: list[dict] = []
-    campaign_blobs: list[dict] = []
-    storage_blobs: list[dict] = []
-    for seq, e in enumerate(getattr(tracer, "events", [])):
-        if hasattr(e, "store"):
-            storage_blobs.append(
-                {"seq": seq, "step": e.step, "kind": e.kind,
-                 "store": e.store, "key": e.key,
-                 "seconds_lost": e.seconds_lost, "detail": e.detail})
-        elif hasattr(e, "oracle"):
-            campaign_blobs.append(
-                {"seq": seq, "step": e.step, "kind": e.kind,
-                 "oracle": e.oracle, "harness": e.harness, "ok": e.ok,
-                 "seconds_lost": e.seconds_lost, "detail": e.detail})
-        elif hasattr(e, "worker"):
-            cluster_blobs.append(
-                {"seq": seq, "step": e.step, "kind": e.kind,
-                 "worker": e.worker,
-                 "link": list(e.link) if e.link is not None else None,
-                 "strategy": e.strategy, "seconds_lost": e.seconds_lost,
-                 "detail": e.detail})
-        elif hasattr(e, "pass_name"):
-            degradation_blobs.append(
-                {"seq": seq, "step": e.step, "kind": e.kind,
-                 "op": e.op_name, "tier": e.tier, "pass": e.pass_name,
-                 "attempt": e.attempt, "seconds_lost": e.seconds_lost,
-                 "detail": e.detail})
-        elif hasattr(e, "outcome"):
-            serving_blobs.append(
-                {"seq": seq, "step": e.step, "kind": e.kind,
-                 "outcome": e.outcome, "replica": e.replica,
-                 "latency_ms": e.latency_ms, "deadline_ms": e.deadline_ms,
-                 "seconds_lost": e.seconds_lost, "detail": e.detail,
-                 # fleet scoping (zone outages, re-routes, rollouts);
-                 # None for single-server events
-                 "zone": getattr(e, "zone", None),
-                 "server": getattr(e, "server", None)})
-        else:
-            failure_blobs.append(
-                {"seq": seq, "step": e.step, "kind": e.kind,
-                 "op": e.op_name, "attempt": e.attempt,
-                 "seconds_lost": e.seconds_lost, "detail": e.detail})
+    # Every family shares one ordered stream in the tracer; persist them
+    # as one header list per family (each carries different fields)
+    # tagged with a shared ``seq`` so loading restores the interleaved
+    # emit order exactly.
+    blobs: dict[str, list[dict]] = {family: [] for family in FAMILY_MODULES}
+    for seq, event in enumerate(tracer.events):
+        blob = {"seq": seq, **event_to_blob(event)}
+        blobs[event.FAMILY].append(blob)
     with open(path, "w") as handle:
         header = {"kind": "repro-trace", "version": FORMAT_VERSION,
                   "num_steps": tracer.num_steps,
@@ -206,12 +98,8 @@ def save_trace(tracer: Tracer, path: str | os.PathLike,
                   "step_peak_bytes": list(tracer.step_peak_bytes),
                   # includes structural ops, which records below omit
                   "total_op_seconds": tracer.total_op_seconds(),
-                  "failure_events": failure_blobs,
-                  "degradation_events": degradation_blobs,
-                  "serving_events": serving_blobs,
-                  "cluster_events": cluster_blobs,
-                  "campaign_events": campaign_blobs,
-                  "storage_events": storage_blobs,
+                  **{f"{family}_events": blobs[family]
+                     for family in FAMILY_MODULES},
                   # plan-compilation summaries (pass stats, memory plan)
                   "compile_records": list(
                       getattr(tracer, "compile_records", [])),
@@ -251,63 +139,17 @@ def load_trace(path: str | os.PathLike) -> SavedTrace:
                          _work=WorkEstimate(flops=blob["flops"],
                                             bytes_moved=blob["bytes"],
                                             trip_count=blob["trips"]))
-            records.append(SavedRecord(op=op, seconds=blob["seconds"],
-                                       step=blob["step"]))
-    from repro.framework.resilience import FailureEvent
-    from repro.framework.session import DegradationEvent
+            records.append(OpRecord(op=op, seconds=blob["seconds"],
+                                    step=blob["step"]))
     tagged: list[tuple[int, object]] = []
-    for blob in header.get("failure_events", []):
-        tagged.append((blob.get("seq", len(tagged)), FailureEvent(
-            step=blob["step"], kind=blob["kind"], op_name=blob.get("op"),
-            attempt=blob.get("attempt", 0),
-            seconds_lost=blob.get("seconds_lost", 0.0),
-            detail=blob.get("detail", ""))))
-    for blob in header.get("degradation_events", []):
-        tagged.append((blob.get("seq", len(tagged)), DegradationEvent(
-            step=blob["step"], kind=blob["kind"], op_name=blob.get("op"),
-            tier=blob.get("tier"), pass_name=blob.get("pass"),
-            attempt=blob.get("attempt", 0),
-            seconds_lost=blob.get("seconds_lost", 0.0),
-            detail=blob.get("detail", ""))))
-    if header.get("serving_events"):
-        from repro.serving.events import ServingEvent
-        for blob in header["serving_events"]:
-            tagged.append((blob.get("seq", len(tagged)), ServingEvent(
-                step=blob["step"], kind=blob["kind"],
-                outcome=blob.get("outcome"), replica=blob.get("replica"),
-                latency_ms=blob.get("latency_ms", 0.0),
-                deadline_ms=blob.get("deadline_ms", 0.0),
-                seconds_lost=blob.get("seconds_lost", 0.0),
-                detail=blob.get("detail", ""),
-                zone=blob.get("zone"), server=blob.get("server"))))
-    if header.get("cluster_events"):
-        from repro.distributed.events import ClusterEvent
-        for blob in header["cluster_events"]:
-            link = blob.get("link")
-            tagged.append((blob.get("seq", len(tagged)), ClusterEvent(
-                step=blob["step"], kind=blob["kind"],
-                worker=blob.get("worker"),
-                link=tuple(link) if link is not None else None,
-                strategy=blob.get("strategy"),
-                seconds_lost=blob.get("seconds_lost", 0.0),
-                detail=blob.get("detail", ""))))
-    if header.get("campaign_events"):
-        from repro.chaos.events import CampaignEvent
-        for blob in header["campaign_events"]:
-            tagged.append((blob.get("seq", len(tagged)), CampaignEvent(
-                step=blob["step"], kind=blob["kind"],
-                oracle=blob.get("oracle"), harness=blob.get("harness"),
-                ok=blob.get("ok"),
-                seconds_lost=blob.get("seconds_lost", 0.0),
-                detail=blob.get("detail", ""))))
-    if header.get("storage_events"):
-        from repro.storage.events import StorageEvent
-        for blob in header["storage_events"]:
-            tagged.append((blob.get("seq", len(tagged)), StorageEvent(
-                step=blob["step"], kind=blob["kind"],
-                store=blob.get("store", -1), key=blob.get("key", ""),
-                seconds_lost=blob.get("seconds_lost", 0.0),
-                detail=blob.get("detail", ""))))
+    for family, module in FAMILY_MODULES.items():
+        family_blobs = header.get(f"{family}_events")
+        if not family_blobs:
+            continue
+        importlib.import_module(module)  # registers the family
+        for blob in family_blobs:
+            tagged.append((blob.get("seq", len(tagged)),
+                           event_from_blob(family, blob)))
     tagged.sort(key=lambda pair: pair[0])
     events = [event for _, event in tagged]
     return SavedTrace(records=records,

@@ -5,13 +5,17 @@ the framework's primitive operations rather than profiling at the script
 or hardware-counter level, because only the operation level can ascribe
 runtime behaviour to model features. :class:`Tracer` plugs into
 ``Session.run`` and records one :class:`OpRecord` per executed operation
-per step, plus per-step totals for framework-overhead accounting.
+per step, plus per-step totals for framework-overhead accounting. The
+recovery/SLO events that subsystems attach through ``record_event`` are
+read back through the family views of
+:class:`~repro.framework.events.EventLog`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.framework.events import EventLog
 from repro.framework.graph import OpClass, Operation
 from repro.framework.ops.state_ops import Const, Group, Placeholder, VariableOp
 
@@ -37,8 +41,29 @@ class OpRecord:
         return self.op.op_class
 
 
+class StepLog(EventLog):
+    """Step summaries a live :class:`Tracer` and a loaded trace share."""
+
+    step_totals: list[float]
+
+    @property
+    def num_steps(self) -> int:
+        return len(self.step_totals)
+
+    def framework_overhead_fraction(self) -> float:
+        """Fraction of wall time spent *outside* operations.
+
+        The paper reports this is typically below 1-2% for TensorFlow;
+        the executor's scheduling loop is similarly thin.
+        """
+        total = sum(self.step_totals)
+        if total == 0.0:
+            return 0.0
+        return max(0.0, total - self.total_op_seconds()) / total
+
+
 @dataclass
-class Tracer:
+class Tracer(StepLog):
     """Collects per-operation timing records across session runs.
 
     Pass an instance as ``Session.run(..., tracer=tracer)``. Each ``run``
@@ -50,8 +75,8 @@ class Tracer:
     records: list[OpRecord] = field(default_factory=list)
     step_totals: list[float] = field(default_factory=list)
     step_peak_bytes: list[int] = field(default_factory=list)
-    #: structured FailureEvent records emitted by the resilient runner
-    #: (see :mod:`repro.framework.resilience`), interleaved with steps
+    #: every subsystem's events in emit order, one list for all
+    #: families (see :mod:`repro.framework.events`)
     events: list = field(default_factory=list)
     #: plan-compilation summaries (one dict per compilation the session
     #: performed while this tracer was attached; see ExecutionPlan.summary)
@@ -78,10 +103,6 @@ class Tracer:
 
     # -- summaries ---------------------------------------------------------
 
-    @property
-    def num_steps(self) -> int:
-        return self._current_step
-
     def compute_records(self) -> list[OpRecord]:
         """Records for real compute ops (structural bookkeeping removed)."""
         return [r for r in self.records
@@ -90,127 +111,12 @@ class Tracer:
     def total_op_seconds(self) -> float:
         return sum(r.seconds for r in self.records)
 
-    def framework_overhead_fraction(self) -> float:
-        """Fraction of wall time spent *outside* operations.
-
-        The paper reports this is typically below 1-2% for TensorFlow;
-        the executor's scheduling loop is similarly thin.
-        """
-        total = sum(self.step_totals)
-        if total == 0.0:
-            return 0.0
-        return max(0.0, total - self.total_op_seconds()) / total
-
     def records_for_step(self, step: int) -> list[OpRecord]:
         return [r for r in self.records if r.step == step]
 
     def peak_live_bytes(self) -> int:
         """Largest intermediate-tensor footprint seen in any step."""
         return max(self.step_peak_bytes, default=0)
-
-    def failure_events(self, kind: str | None = None) -> list:
-        """Recovery events recorded so far, optionally filtered by kind.
-
-        Degradation events (which carry a ``pass_name`` field), serving
-        events (``outcome`` field), cluster events (``worker`` field),
-        campaign events (``oracle`` field), and storage events
-        (``store`` field) share the ``record_event`` hook but are
-        reported separately via :meth:`degradation_events`,
-        :meth:`serving_events`, :meth:`cluster_events`,
-        :meth:`campaign_events`, and :meth:`storage_events`.
-        """
-        events = [e for e in self.events
-                  if not hasattr(e, "pass_name")
-                  and not hasattr(e, "outcome")
-                  and not hasattr(e, "worker")
-                  and not hasattr(e, "oracle")
-                  and not hasattr(e, "store")]
-        if kind is None:
-            return events
-        return [e for e in events if e.kind == kind]
-
-    def degradation_events(self, kind: str | None = None) -> list:
-        """Self-healing events (tier drops, quarantines, guardrails).
-
-        Distinguished from failure events by duck-typing on the
-        ``pass_name`` field, so the tracer stays decoupled from both
-        event classes.
-        """
-        events = [e for e in self.events if hasattr(e, "pass_name")]
-        if kind is None:
-            return events
-        return [e for e in events if e.kind == kind]
-
-    def serving_events(self, kind: str | None = None) -> list:
-        """SLO events from the inference-serving layer.
-
-        One event per terminal request outcome plus breaker transitions,
-        hedges, and replica restarts (see
-        :class:`repro.serving.events.ServingEvent`) — and, for fleet
-        runs, the fleet-scoped lifecycle (zone outages, re-routes,
-        ejections, scaling, rollouts; see :meth:`fleet_events`).
-        Distinguished from the other event families by duck-typing on
-        the ``outcome`` field.
-        """
-        events = [e for e in self.events if hasattr(e, "outcome")]
-        if kind is None:
-            return events
-        return [e for e in events if e.kind == kind]
-
-    def fleet_events(self, kind: str | None = None) -> list:
-        """The fleet-scoped slice of :meth:`serving_events`.
-
-        Fleet events carry a ``zone`` or ``server`` attribution (see
-        :data:`repro.serving.events.FLEET_EVENT_KINDS`); per-server
-        events leave both ``None`` and are excluded here.
-        """
-        events = [e for e in self.serving_events(kind)
-                  if getattr(e, "zone", None) is not None
-                  or getattr(e, "server", None) is not None]
-        return events
-
-    def cluster_events(self, kind: str | None = None) -> list:
-        """Distributed-training events (checkpoints, crashes, stragglers,
-        retransmits, fallbacks, membership — see
-        :class:`repro.distributed.events.ClusterEvent`). Distinguished
-        from the other event families by duck-typing on the ``worker``
-        field.
-        """
-        events = [e for e in self.events if hasattr(e, "worker")]
-        if kind is None:
-            return events
-        return [e for e in events if e.kind == kind]
-
-    def campaign_events(self, kind: str | None = None) -> list:
-        """Chaos-campaign events (schedule executions, oracle verdicts,
-        violations, minimization results — see
-        :class:`repro.chaos.events.CampaignEvent`). Distinguished from
-        the other event families by duck-typing on the ``oracle`` field.
-        """
-        events = [e for e in self.events if hasattr(e, "oracle")]
-        if kind is None:
-            return events
-        return [e for e in events if e.kind == kind]
-
-    def storage_events(self, kind: str | None = None) -> list:
-        """Checkpoint-durability events (quorum commits, replica
-        failures, failovers, read-repairs, scrub passes and heals,
-        garbage collection — see
-        :class:`repro.storage.events.StorageEvent`). Distinguished from
-        the other event families by duck-typing on the ``store`` field.
-        """
-        events = [e for e in self.events if hasattr(e, "store")]
-        if kind is None:
-            return events
-        return [e for e in events if e.kind == kind]
-
-    def fault_seconds(self) -> float:
-        """Wall-clock time attributed to failed attempts and recovery.
-
-        Sums ``seconds_lost`` over all failure events, letting profiles
-        separate productive step time from time lost to faults.
-        """
-        return sum(e.seconds_lost for e in self.events)
 
     def clear(self) -> None:
         self.records.clear()

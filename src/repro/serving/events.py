@@ -19,6 +19,8 @@ from typing import Any
 
 import numpy as np
 
+from repro.framework.events import event_family
+
 #: terminal request outcomes:
 #: ``ok`` — answered within its deadline;
 #: ``shed`` — rejected at admission (queue full / deadline hopeless);
@@ -43,6 +45,7 @@ FLEET_EVENT_KINDS = (
     "rollback", "rollout_done")
 
 
+@event_family("serving")
 @dataclass(frozen=True)
 class ServingEvent:
     """One structured serving-layer action, for SLO observability.

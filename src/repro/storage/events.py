@@ -3,19 +3,15 @@
 Every consequential storage action — a quorum commit, a failed replica
 write, a failover on read, a read-repair, a scrub healing a rotted blob,
 garbage collection — is recorded as a :class:`StorageEvent` on the
-session tracer, alongside failure, degradation, serving, cluster, and
-campaign events. ``repro trace`` then tells the whole durability story
-inline with the rest of the run.
-
-The ``store`` field doubles as the family marker the tracer uses to
-distinguish storage events from the other event families (mirroring
-``pass_name`` for degradation, ``outcome`` for serving, ``worker`` for
-cluster, and ``oracle`` for campaign events).
+session tracer (the ``storage`` family of :mod:`repro.framework.events`),
+so a trace tells the durability story inline with the rest of the run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+from repro.framework.events import event_family
 
 #: every kind a StorageEvent may carry
 STORAGE_EVENT_KINDS = (
@@ -32,6 +28,7 @@ STORAGE_EVENT_KINDS = (
 )
 
 
+@event_family("storage")
 @dataclass(frozen=True)
 class StorageEvent:
     """One durability-relevant action in the checkpoint storage layer.
@@ -41,9 +38,7 @@ class StorageEvent:
             actions (scrub passes, garbage collection).
         kind: one of :data:`STORAGE_EVENT_KINDS`.
         store: the blob-store id acted on, or -1 when the action spans
-            the replication group (commit, scrub, gc). Also the family
-            marker field — every StorageEvent has it, no other event
-            family does.
+            the replication group (commit, scrub, gc).
         key: the blob key involved, or "" for group-level actions.
         seconds_lost: virtual seconds the action consumed (failover
             retries, repair writes); 0.0 when untimed.

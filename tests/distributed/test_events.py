@@ -1,7 +1,9 @@
 """Cluster events: tracer family separation and trace persistence."""
 
+import json
+
 from repro.distributed import (CLUSTER_EVENT_KINDS, ClusterEvent,
-                               events_signature)
+                               ClusterRunResult, events_signature)
 from repro.framework.resilience import FailureEvent
 from repro.profiling.serialize import load_trace, save_trace
 from repro.profiling.tracer import Tracer
@@ -88,3 +90,22 @@ class TestSerialization:
         loaded = load_trace(path)
         kinds = [e.kind for e in loaded.events]
         assert kinds == ["checkpoint", "retry", "crash"]
+
+    def test_report_json_and_trace_write_the_same_blob(self, tmp_path):
+        events = make_events()
+        result = ClusterRunResult(
+            workload="memnet", strategy="allreduce", workers=2, steps=3,
+            losses=[], events=events, elapsed_seconds=0.0, injected=())
+        tracer = Tracer()
+        for event in events:
+            tracer.record_event(event)
+        path = tmp_path / "trace.jsonl"
+        save_trace(tracer, path)
+        header = json.loads(path.read_text().splitlines()[0])
+        traced = [{key: value for key, value in blob.items() if key != "seq"}
+                  for blob in header["cluster_events"]]
+        reported = result.to_json()["events"]
+        assert reported == traced
+        assert list(reported[2]) == ["step", "kind", "worker", "link",
+                                     "strategy", "seconds_lost", "detail"]
+        assert reported[2]["link"] == [0, 1] and reported[0]["link"] is None

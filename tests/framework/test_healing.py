@@ -320,12 +320,17 @@ class TestGuardrails:
         result = session.run(out, feed_dict={x: bad}, guardrails="zero")
         assert np.isfinite(result).all()
 
-    def test_legacy_check_numerics_message_preserved(self, fresh_graph):
+    def test_check_numerics_is_sugar_for_raise(self, fresh_graph):
         out, x = self.build_nan_graph()
         session = Session(fresh_graph)
         bad = np.array([[-1.0, 1.0], [2.0, 3.0]], dtype=np.float32)
-        with pytest.raises(ExecutionError, match=r"\(check_numerics\)"):
+        with pytest.raises(ExecutionError) as sugar:
             session.run(out, feed_dict={x: bad}, check_numerics=True)
+        with pytest.raises(ExecutionError) as policy:
+            session.run(out, feed_dict={x: bad}, guardrails="raise")
+        assert type(sugar.value) is type(policy.value)
+        assert str(sugar.value) == str(policy.value)
+        assert str(sugar.value).endswith("(guardrail)")
 
     def test_invalid_policy_rejected(self):
         with pytest.raises(ValueError, match="guardrail policy"):

@@ -1,15 +1,58 @@
 """Tests for trace serialization."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro import workloads
+from repro.chaos.events import CampaignEvent
+from repro.distributed.events import ClusterEvent
 from repro.framework.device_model import cpu, gpu
+from repro.framework.events import (EVENT_FAMILIES, event_from_blob,
+                                    event_to_blob)
+from repro.framework.resilience import FailureEvent
+from repro.framework.session import DegradationEvent
 from repro.profiling.profile import OperationProfile
-from repro.profiling.serialize import load_trace, save_trace
+from repro.profiling.serialize import FAMILY_MODULES, load_trace, save_trace
 from repro.profiling.tracer import Tracer
+from repro.serving.events import ServingEvent
+from repro.storage.events import StorageEvent
+
+#: written once by the parent of the commit that introduced the family
+#: registry (the hand-written per-family save_trace): a 2-step
+#: memnet/tiny training trace plus GOLDEN_EVENTS, recorded in this order
+GOLDEN_TRACE = Path(__file__).with_name("golden_trace_v1.jsonl")
+
+#: every family at least once, every field off its default
+GOLDEN_EVENTS = [
+    FailureEvent(step=1, kind="retry", op_name="hop0/matmul", attempt=2,
+                 seconds_lost=0.125, detail="injected fault"),
+    ServingEvent(step=7, kind="reroute", outcome="ok", replica=1,
+                 latency_ms=3.25, deadline_ms=50.0, seconds_lost=0.5,
+                 detail="zone-a drained", zone="zone-a", server=2),
+    DegradationEvent(step=1, kind="quarantine", op_name="fold_3",
+                     tier="structural", pass_name="constant_fold",
+                     attempt=3, seconds_lost=0.25,
+                     detail="2 failures blamed on pass"),
+    StorageEvent(step=4, kind="read_repair", store=2,
+                 key="ckpt/000004/payload", seconds_lost=0.0625,
+                 detail="rewrote from store 0"),
+    ClusterEvent(step=3, kind="timeout", worker=1, link=(0, 1),
+                 strategy="allreduce", seconds_lost=0.05,
+                 detail="gradient message lost"),
+    CampaignEvent(step=5, kind="verdict", oracle="bit_identity",
+                  harness="cluster", ok=False, seconds_lost=1.5,
+                  detail="loss diverged at step 3"),
+    ServingEvent(step=8, kind="reply", outcome="deadline", replica=0,
+                 latency_ms=61.5, deadline_ms=50.0, seconds_lost=0.0115,
+                 detail="late"),
+]
 
 
 @pytest.fixture(scope="module")
@@ -207,3 +250,64 @@ class TestServingEvents:
         assert len(loaded.degradation_events()) == 1
         assert len(loaded.serving_events()) == 1
         assert loaded.serving_events()[0].outcome == "ok"
+
+
+class TestEventFamilies:
+    def test_golden_trace_loads_the_exact_events(self):
+        loaded = load_trace(GOLDEN_TRACE)
+        assert loaded.events == GOLDEN_EVENTS
+        assert loaded.num_steps == 2
+        assert loaded.metadata == {"workload": "memnet", "config": "tiny"}
+        assert loaded.fleet_events() == [GOLDEN_EVENTS[1]]
+
+    def test_golden_trace_resaves_byte_for_byte(self, tmp_path):
+        loaded = load_trace(GOLDEN_TRACE)
+        path = tmp_path / "resaved.jsonl"
+        save_trace(loaded, path, metadata=loaded.metadata)
+        assert path.read_bytes() == GOLDEN_TRACE.read_bytes()
+
+    def test_registry_and_trace_file_agree(self):
+        assert set(EVENT_FAMILIES) == set(FAMILY_MODULES)
+
+    @pytest.mark.parametrize("family", list(EVENT_FAMILIES))
+    def test_blob_round_trip(self, family):
+        samples = [e for e in GOLDEN_EVENTS if e.FAMILY == family]
+        assert samples, f"add a {family} event to GOLDEN_EVENTS"
+        for event in samples:
+            blob = json.loads(json.dumps(event_to_blob(event)))
+            assert event_from_blob(family, blob) == event
+
+    def test_views_partition_the_stream(self):
+        tracer = Tracer()
+        for event in GOLDEN_EVENTS:
+            tracer.record_event(event)
+        views = [tracer.events_of(family) for family in EVENT_FAMILIES]
+        assert sorted(map(id, sum(views, []))) == \
+            sorted(map(id, tracer.events))
+        assert views == [
+            getattr(tracer, f"{family}_events")()
+            for family in EVENT_FAMILIES]
+        assert tracer.serving_events("reply") == [GOLDEN_EVENTS[6]]
+
+    def test_object_of_no_family_is_refused_by_name(self, tmp_path):
+        class Stray:
+            step, kind, seconds_lost = 0, "retry", 0.0
+
+        tracer = Tracer()
+        tracer.record_event(Stray())
+        assert tracer.failure_events() == []
+        with pytest.raises(ValueError, match="Stray"):
+            save_trace(tracer, tmp_path / "stray.jsonl")
+
+    def test_tracer_import_loads_no_domain_package(self):
+        """framework.events and the tracer sit below serving, distributed,
+        storage and chaos: importing them must load none of those."""
+        code = ("import sys, repro.framework.events, repro.profiling.tracer\n"
+                "print([m for m in sys.modules if m.startswith(("
+                "'repro.serving', 'repro.distributed', 'repro.storage', "
+                "'repro.chaos'))])")
+        src = str(Path(repro.__file__).parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", code], check=True, capture_output=True,
+            text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "[]"
