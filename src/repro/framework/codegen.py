@@ -8,9 +8,10 @@ dispatch costs up to 22% of wall time. This module removes it the way
 deferred-execution frameworks do: it partitions a compiled schedule into
 *regions* of consecutive pure compute steps and emits one Python
 function per region — elementwise/activation chains collapsed into
-single numpy expressions, im2col+GEMM convolutions inlined, the static
-schedule unrolled into straight-line code — compiled once with ``exec``
-and cached on the plan.
+single numpy expressions, convolutions inlined as calls to the one
+im2col+GEMM kernel ``Conv2D.compute`` runs, the static schedule unrolled
+into straight-line code — compiled once with ``exec`` and cached on the
+plan.
 
 Correctness contract (the same bar the optimization passes meet):
 
@@ -48,7 +49,7 @@ import numpy as np
 from .cost_model import WorkEstimate
 from .graph import Operation, OpClass
 from .memory import K_COMPUTE, K_CONST, K_REGION
-from .ops.nn_ops import _im2col
+from .ops.nn_ops import conv2d_forward
 from .rewrite import _is_pure
 
 #: most member steps a single generated kernel may cover (keeps the
@@ -173,12 +174,8 @@ def _matmul_expr(op, args):
 
 
 def _conv2d_expr(op, args):
-    f_h, f_w, in_c, out_c = op.inputs[1].shape
-    s_h, s_w = op.attrs["strides"]
-    pads = tuple(op.attrs["pads"])
-    return (f"(_im2col({args[0]}, {f_h}, {f_w}, {s_h}, {s_w}, {pads!r})"
-            f" @ {args[1]}.reshape({f_h * f_w * in_c}, {out_c}))"
-            f".reshape({tuple(op.output.shape)!r})")
+    return (f"_conv2d({args[0]}, {args[1]}, {tuple(op.attrs['strides'])!r}, "
+            f"{tuple(op.attrs['pads'])!r}, {tuple(op.output.shape)!r})")
 
 
 INLINE_TEMPLATES = {
@@ -244,7 +241,7 @@ def _emit_region(members, pinned, plan_graph, index) -> CompiledRegion:
 
     lines: list[str] = []
     line_steps: dict[int, object] = {}
-    namespace: dict[str, object] = {"np": np, "_im2col": _im2col,
+    namespace: dict[str, object] = {"np": np, "_conv2d": conv2d_forward,
                                     "OPS": [step.op for step in members]}
     pending_expr: dict[int, str] = {}
     pending_hooks: dict[int, list[int]] = {}

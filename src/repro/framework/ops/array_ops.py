@@ -200,7 +200,11 @@ class Pad(Operation):
         return [(shape, x.dtype)]
 
     def compute(self, inputs, ctx):
-        return (np.pad(inputs[0], self.attrs["paddings"]),)
+        x = inputs[0]
+        out = np.zeros(self.output.shape, dtype=x.dtype)
+        out[tuple(slice(lo, lo + dim) for (lo, _), dim in
+                  zip(self.attrs["paddings"], x.shape))] = x
+        return (out,)
 
     def gradient(self, grads):
         x = self.inputs[0]
@@ -257,10 +261,26 @@ class UnsortedSegmentSum(Operation):
 
     def compute(self, inputs, ctx):
         data, indices = inputs
+        num_segments = self.output.shape[0]
         out = np.zeros(self.output.shape, dtype=data.dtype)
         flat_idx = indices.astype(np.int64).reshape(-1)
+        if flat_idx.size == 0:
+            return (out,)
+        if flat_idx.min() < -num_segments or flat_idx.max() >= num_segments:
+            raise IndexError(
+                f"segment index out of bounds for {num_segments} segments")
+        # -k names the same row as num_segments - k, as in numpy indexing;
+        # left apart they would sort into two runs and the second
+        # assignment below would overwrite the first.
+        flat_idx = np.where(flat_idx < 0, flat_idx + num_segments, flat_idx)
+        # A stable sort keeps each bucket's rows in arrival order.
+        order = np.argsort(flat_idx, kind="stable")
+        flat_idx = flat_idx[order]
         flat_data = data.reshape((flat_idx.size,) + self.output.shape[1:])
-        np.add.at(out, flat_idx, flat_data)
+        starts = np.flatnonzero(
+            np.concatenate(([True], flat_idx[1:] != flat_idx[:-1])))
+        out[flat_idx[starts]] = np.add.reduceat(
+            np.take(flat_data, order, axis=0), starts, axis=0)
         return (out,)
 
     def _estimate_work(self):

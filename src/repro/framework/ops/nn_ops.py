@@ -2,11 +2,18 @@
 
 Convolution is implemented the way production backends implement it
 (cuDNN's default algorithm and Eigen's CPU path are both implicit GEMM):
-an im2col patch extraction followed by a dense matrix multiply. The two
-backward kernels are distinct operation types — ``Conv2DBackpropFilter``
-and ``Conv2DBackpropInput`` — exactly as in TensorFlow, because the
-paper's Fig. 6a shows them as separately-scaling profile entries. All
-spatial tensors use NHWC layout.
+an im2col patch extraction followed by a dense matrix multiply, in all
+three directions. ``Conv2D`` is ``cols(x) @ filter``;
+``Conv2DBackpropFilter`` is ``cols(x).T @ grad``; ``Conv2DBackpropInput``
+is, for stride 1 and a filter no larger than the output,
+``cols(zero-bordered grad) @ flipped filter`` (a correlation, so nothing
+is scattered), and otherwise ``grad @ filter.T`` followed by a col2im
+loop over the filter taps. Which form runs is decided by static shapes
+alone, so every execution tier performs the same float operations. The
+two backward kernels are distinct operation types, exactly as in
+TensorFlow, because the paper's Fig. 6a shows them as
+separately-scaling profile entries. All spatial tensors use NHWC layout,
+and every conv/pool border goes through ``_pad_hw``.
 """
 
 from __future__ import annotations
@@ -49,12 +56,35 @@ def _conv_geometry(x: Tensor, filter_shape, strides, padding):
     return (batch, out_h, out_w, out_c), (pad_t, pad_b, pad_l, pad_r)
 
 
+def _padded_shape(shape, pads) -> tuple[int, int, int, int]:
+    batch, height, width, channels = shape
+    pad_t, pad_b, pad_l, pad_r = pads
+    return (batch, height + pad_t + pad_b, width + pad_l + pad_r, channels)
+
+
+def _pad_hw(x: np.ndarray, pads: tuple[int, int, int, int],
+            fill: float = 0.0) -> np.ndarray:
+    """Border the spatial axes of an NHWC array (``x`` itself if no pad)."""
+    if not any(pads):
+        return x
+    shape = _padded_shape(x.shape, pads)
+    out = (np.zeros(shape, dtype=x.dtype) if fill == 0.0
+           else np.full(shape, fill, dtype=x.dtype))
+    out[:, pads[0]:pads[0] + x.shape[1], pads[2]:pads[2] + x.shape[2]] = x
+    return out
+
+
+def _unpad_hw(padded: np.ndarray, pads, shape) -> np.ndarray:
+    """Inverse of :func:`_pad_hw`: the interior of ``shape``, contiguous."""
+    pad_t, _, pad_l, _ = pads
+    return np.ascontiguousarray(
+        padded[:, pad_t:pad_t + shape[1], pad_l:pad_l + shape[2], :])
+
+
 def _im2col(x: np.ndarray, f_h: int, f_w: int, s_h: int, s_w: int,
             pads: tuple[int, int, int, int]) -> np.ndarray:
     """Extract conv patches: returns ``(batch*out_h*out_w, f_h*f_w*in_c)``."""
-    pad_t, pad_b, pad_l, pad_r = pads
-    if any(pads):
-        x = np.pad(x, ((0, 0), (pad_t, pad_b), (pad_l, pad_r), (0, 0)))
+    x = _pad_hw(x, pads)
     windows = np.lib.stride_tricks.sliding_window_view(x, (f_h, f_w),
                                                        axis=(1, 2))
     # windows: (batch, H', W', in_c, f_h, f_w); subsample by stride, then
@@ -64,6 +94,14 @@ def _im2col(x: np.ndarray, f_h: int, f_w: int, s_h: int, s_w: int,
     batch, out_h, out_w = windows.shape[:3]
     return np.ascontiguousarray(windows).reshape(
         batch * out_h * out_w, f_h * f_w * x.shape[3])
+
+
+def conv2d_forward(x: np.ndarray, filt: np.ndarray, strides, pads,
+                   out_shape) -> np.ndarray:
+    """The Conv2D kernel; codegen's inline template calls this too."""
+    f_h, f_w, in_c, out_c = filt.shape
+    cols = _im2col(x, f_h, f_w, strides[0], strides[1], pads)
+    return (cols @ filt.reshape(f_h * f_w * in_c, out_c)).reshape(out_shape)
 
 
 class Conv2D(Operation):
@@ -85,12 +123,8 @@ class Conv2D(Operation):
         return [(out_shape, x.dtype)]
 
     def compute(self, inputs, ctx):
-        x, filt = inputs
-        f_h, f_w, in_c, out_c = filt.shape
-        s_h, s_w = self.attrs["strides"]
-        cols = _im2col(x, f_h, f_w, s_h, s_w, self.attrs["pads"])
-        out = cols @ filt.reshape(f_h * f_w * in_c, out_c)
-        return (out.reshape(self.output.shape),)
+        return (conv2d_forward(inputs[0], inputs[1], self.attrs["strides"],
+                               self.attrs["pads"], self.output.shape),)
 
     def gradient(self, grads):
         g = grads[0]
@@ -121,21 +155,32 @@ class Conv2DBackpropInput(Operation):
 
     def compute(self, inputs, ctx):
         grad, filt = inputs
-        batch, in_h, in_w, in_c = self.attrs["input_shape"]
+        input_shape = self.attrs["input_shape"]
+        batch, _, _, in_c = input_shape
         f_h, f_w, _, out_c = filt.shape
         s_h, s_w = self.attrs["strides"]
-        pad_t, pad_b, pad_l, pad_r = self.attrs["pads"]
+        pads = pad_t, pad_b, pad_l, pad_r = self.attrs["pads"]
         out_h, out_w = grad.shape[1], grad.shape[2]
-        dpad = np.zeros((batch, in_h + pad_t + pad_b, in_w + pad_l + pad_r,
-                         in_c), dtype=grad.dtype)
+        if s_h == s_w == 1 and f_h <= out_h and f_w <= out_w:
+            # dx[y] = sum_i grad[y + pad_t - i] . filt[i]: a stride-1
+            # correlation of the bordered gradient with the filter
+            # flipped in both spatial axes, (out_c, in_c) per tap. A
+            # filter larger than the output makes that border mostly
+            # zeros, and the flipped copy dearer than the scatter below.
+            cols = _im2col(grad, f_h, f_w, 1, 1,
+                           (f_h - 1 - pad_t, f_h - 1 - pad_b,
+                            f_w - 1 - pad_l, f_w - 1 - pad_r))
+            flipped = filt[::-1, ::-1].transpose(0, 1, 3, 2)
+            dx = cols @ flipped.reshape(f_h * f_w * out_c, in_c)
+            return (dx.reshape(input_shape),)
+        cols = (grad.reshape(-1, out_c) @ filt.reshape(-1, out_c).T).reshape(
+            batch, out_h, out_w, f_h, f_w, in_c)
+        dpad = np.zeros(_padded_shape(input_shape, pads), dtype=grad.dtype)
         for i in range(f_h):
             for j in range(f_w):
-                # grad: (b, oh, ow, oc) x filter tap (ic, oc) -> (b, oh, ow, ic)
-                contrib = np.tensordot(grad, filt[i, j], axes=([3], [1]))
                 dpad[:, i:i + s_h * out_h:s_h,
-                     j:j + s_w * out_w:s_w, :] += contrib
-        return (np.ascontiguousarray(
-            dpad[:, pad_t:pad_t + in_h, pad_l:pad_l + in_w, :]),)
+                     j:j + s_w * out_w:s_w, :] += cols[:, :, :, i, j]
+        return (_unpad_hw(dpad, pads, input_shape),)
 
     def _estimate_work(self):
         grad = self.inputs[0]
@@ -155,19 +200,11 @@ class Conv2DBackpropFilter(Operation):
 
     def compute(self, inputs, ctx):
         grad, x = inputs
-        f_h, f_w, in_c, out_c = self.attrs["filter_shape"]
+        filter_shape = self.attrs["filter_shape"]
+        f_h, f_w, _, out_c = filter_shape
         s_h, s_w = self.attrs["strides"]
-        pad_t, pad_b, pad_l, pad_r = self.attrs["pads"]
-        if pad_t or pad_b or pad_l or pad_r:
-            x = np.pad(x, ((0, 0), (pad_t, pad_b), (pad_l, pad_r), (0, 0)))
-        out_h, out_w = grad.shape[1], grad.shape[2]
-        grad_mat = grad.reshape(-1, out_c)
-        dfilt = np.empty((f_h, f_w, in_c, out_c), dtype=grad.dtype)
-        for i in range(f_h):
-            for j in range(f_w):
-                patch = x[:, i:i + s_h * out_h:s_h, j:j + s_w * out_w:s_w, :]
-                dfilt[i, j] = patch.reshape(-1, in_c).T @ grad_mat
-        return (dfilt,)
+        cols = _im2col(x, f_h, f_w, s_h, s_w, self.attrs["pads"])
+        return ((cols.T @ grad.reshape(-1, out_c)).reshape(filter_shape),)
 
     def _estimate_work(self):
         grad = self.inputs[0]
@@ -197,13 +234,9 @@ class MaxPool(Operation):
         return [(out_shape, self.inputs[0].dtype)]
 
     def compute(self, inputs, ctx):
-        x = inputs[0]
+        x = _pad_hw(inputs[0], self.attrs["pads"], fill=-np.inf)
         k_h, k_w = self.attrs["ksize"]
         s_h, s_w = self.attrs["strides"]
-        pad_t, pad_b, pad_l, pad_r = self.attrs["pads"]
-        if pad_t or pad_b or pad_l or pad_r:
-            x = np.pad(x, ((0, 0), (pad_t, pad_b), (pad_l, pad_r), (0, 0)),
-                       constant_values=-np.inf)
         windows = np.lib.stride_tricks.sliding_window_view(
             x, (k_h, k_w), axis=(1, 2))[:, ::s_h, ::s_w]
         return (np.ascontiguousarray(windows.max(axis=(4, 5))),)
@@ -235,17 +268,10 @@ class MaxPoolGrad(Operation):
         x, pooled, grad = inputs
         k_h, k_w = self.attrs["ksize"]
         s_h, s_w = self.attrs["strides"]
-        pad_t, pad_b, pad_l, pad_r = self.attrs["pads"]
-        padded_shape = (x.shape[0], x.shape[1] + pad_t + pad_b,
-                        x.shape[2] + pad_l + pad_r, x.shape[3])
-        if pad_t or pad_b or pad_l or pad_r:
-            x_pad = np.full(padded_shape, -np.inf, dtype=x.dtype)
-            x_pad[:, pad_t:pad_t + x.shape[1],
-                  pad_l:pad_l + x.shape[2], :] = x
-        else:
-            x_pad = x
+        pads = self.attrs["pads"]
+        x_pad = _pad_hw(x, pads, fill=-np.inf)
         out_h, out_w = pooled.shape[1], pooled.shape[2]
-        dx_pad = np.zeros(padded_shape, dtype=grad.dtype)
+        dx_pad = np.zeros(x_pad.shape, dtype=grad.dtype)
         for i in range(k_h):
             for j in range(k_w):
                 window = x_pad[:, i:i + s_h * out_h:s_h,
@@ -253,9 +279,7 @@ class MaxPoolGrad(Operation):
                 mask = window == pooled
                 dx_pad[:, i:i + s_h * out_h:s_h,
                        j:j + s_w * out_w:s_w, :] += grad * mask
-        return (np.ascontiguousarray(
-            dx_pad[:, pad_t:pad_t + x.shape[1],
-                   pad_l:pad_l + x.shape[2], :]),)
+        return (_unpad_hw(dx_pad, pads, x.shape),)
 
     def _estimate_work(self):
         k_h, k_w = self.attrs["ksize"]
@@ -276,12 +300,9 @@ class AvgPool(Operation):
         return [(out_shape, self.inputs[0].dtype)]
 
     def compute(self, inputs, ctx):
-        x = inputs[0]
+        x = _pad_hw(inputs[0], self.attrs["pads"])
         k_h, k_w = self.attrs["ksize"]
         s_h, s_w = self.attrs["strides"]
-        pad_t, pad_b, pad_l, pad_r = self.attrs["pads"]
-        if pad_t or pad_b or pad_l or pad_r:
-            x = np.pad(x, ((0, 0), (pad_t, pad_b), (pad_l, pad_r), (0, 0)))
         windows = np.lib.stride_tricks.sliding_window_view(
             x, (k_h, k_w), axis=(1, 2))[:, ::s_h, ::s_w]
         return (np.ascontiguousarray(windows.mean(axis=(4, 5))),)
@@ -312,20 +333,16 @@ class AvgPoolGrad(Operation):
         grad = inputs[0]
         k_h, k_w = self.attrs["ksize"]
         s_h, s_w = self.attrs["strides"]
-        pad_t, pad_b, pad_l, pad_r = self.attrs["pads"]
+        pads = self.attrs["pads"]
         in_shape = self.attrs["input_shape"]
-        padded_shape = (in_shape[0], in_shape[1] + pad_t + pad_b,
-                        in_shape[2] + pad_l + pad_r, in_shape[3])
-        dx_pad = np.zeros(padded_shape, dtype=grad.dtype)
+        dx_pad = np.zeros(_padded_shape(in_shape, pads), dtype=grad.dtype)
         out_h, out_w = grad.shape[1], grad.shape[2]
         share = grad / float(k_h * k_w)
         for i in range(k_h):
             for j in range(k_w):
                 dx_pad[:, i:i + s_h * out_h:s_h,
                        j:j + s_w * out_w:s_w, :] += share
-        return (np.ascontiguousarray(
-            dx_pad[:, pad_t:pad_t + in_shape[1],
-                   pad_l:pad_l + in_shape[2], :]),)
+        return (_unpad_hw(dx_pad, pads, in_shape),)
 
     def _estimate_work(self):
         n = self.output.size

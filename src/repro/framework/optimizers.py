@@ -20,8 +20,21 @@ from .ops import state_ops
 from .ops.state_ops import VariableOp
 
 
+def _scaled(x: np.ndarray, factor: float) -> np.ndarray:
+    """``factor * x`` in a fresh array (an ndarray even when ``x`` is 0-d)."""
+    return np.multiply(x, factor, out=np.empty_like(x))
+
+
 class _ApplyOp(Operation):
-    """Base for in-place parameter updates; outputs the updated value."""
+    """Base for parameter updates; outputs the updated value.
+
+    The kernels below reuse their own temporaries through ``out=`` and
+    in-place operators. Each performs the float operations of its
+    textbook formula in the same order (only commuting the operands of
+    a single ``+`` or ``*``), and the arrays read from the context are
+    never written to: new state replaces them through ``_store``, so
+    snapshots that hold the old arrays stay valid.
+    """
 
     op_class = OpClass.OPTIMIZATION
     _flops_per_element = 2.0
@@ -59,9 +72,11 @@ class ApplyMomentum(_ApplyOp):
 
     def compute(self, inputs, ctx):
         grad = inputs[0]
-        accum = self._var(ctx, "accumulator")
-        accum = self.attrs["momentum"] * accum + grad
-        updated = self._var(ctx) - self.attrs["learning_rate"] * accum
+        # accum = momentum * accum + grad; updated = var - lr * accum
+        accum = _scaled(self._var(ctx, "accumulator"), self.attrs["momentum"])
+        accum += grad
+        updated = _scaled(accum, self.attrs["learning_rate"])
+        np.subtract(self._var(ctx), updated, out=updated)
         self._store(ctx, accum, "accumulator")
         self._store(ctx, updated)
         return (updated,)
@@ -76,12 +91,19 @@ class ApplyRMSProp(_ApplyOp):
     def compute(self, inputs, ctx):
         grad = inputs[0]
         decay = self.attrs["decay"]
-        mean_square = self._var(ctx, "mean_square")
-        mean_square = decay * mean_square + (1.0 - decay) * np.square(grad)
-        denom = np.sqrt(mean_square) + self.attrs["epsilon"]
-        momentum = self._var(ctx, "momentum_slot")
-        momentum = (self.attrs["momentum"] * momentum
-                    + self.attrs["learning_rate"] * grad / denom)
+        # mean_square = decay * mean_square + (1 - decay) * grad**2
+        mean_square = _scaled(self._var(ctx, "mean_square"), decay)
+        scratch = np.square(grad, out=np.empty_like(grad))
+        scratch *= 1.0 - decay
+        mean_square += scratch
+        # momentum = momentum * slot + lr * grad / (sqrt(mean_square) + eps)
+        np.sqrt(mean_square, out=scratch)
+        scratch += self.attrs["epsilon"]
+        momentum = _scaled(grad, self.attrs["learning_rate"])
+        momentum /= scratch
+        np.multiply(self._var(ctx, "momentum_slot"), self.attrs["momentum"],
+                    out=scratch)
+        momentum += scratch
         updated = self._var(ctx) - momentum
         self._store(ctx, mean_square, "mean_square")
         self._store(ctx, momentum, "momentum_slot")
@@ -97,17 +119,26 @@ class ApplyAdam(_ApplyOp):
         grad = inputs[0]
         beta1, beta2 = self.attrs["beta1"], self.attrs["beta2"]
         step = float(self._var(ctx, "step")) + 1.0
-        first = self._var(ctx, "first_moment")
-        second = self._var(ctx, "second_moment")
-        first = beta1 * first + (1.0 - beta1) * grad
-        second = beta2 * second + (1.0 - beta2) * np.square(grad)
+        # first = beta1 * first + (1 - beta1) * grad
+        first = _scaled(self._var(ctx, "first_moment"), beta1)
+        scratch = _scaled(grad, 1.0 - beta1)
+        first += scratch
+        # second = beta2 * second + (1 - beta2) * grad**2
+        second = _scaled(self._var(ctx, "second_moment"), beta2)
+        np.square(grad, out=scratch)
+        scratch *= 1.0 - beta2
+        second += scratch
         # Plain python float: a numpy float64 scalar here would promote
         # every float32 array it touches to float64.
         corrected_lr = float(self.attrs["learning_rate"]
                              * (1.0 - beta2 ** step) ** 0.5
                              / (1.0 - beta1 ** step))
-        updated = self._var(ctx) - corrected_lr * first / (
-            np.sqrt(second) + self.attrs["epsilon"])
+        # updated = var - corrected_lr * first / (sqrt(second) + eps)
+        np.sqrt(second, out=scratch)
+        scratch += self.attrs["epsilon"]
+        updated = _scaled(first, corrected_lr)
+        updated /= scratch
+        np.subtract(self._var(ctx), updated, out=updated)
         self._store(ctx, np.float32(step), "step")
         self._store(ctx, first, "first_moment")
         self._store(ctx, second, "second_moment")

@@ -5,6 +5,7 @@ import pytest
 
 from repro.framework import ops
 from repro.framework.errors import ShapeError
+from repro.framework.ops.array_ops import UnsortedSegmentSum
 
 
 class TestReshape:
@@ -132,6 +133,78 @@ class TestGather:
         tensor = ops.gather(ops.constant(table), ops.constant(idx))
         assert tensor.shape == (2, 2, 4)
         np.testing.assert_array_equal(session.run(tensor), table[idx])
+
+
+def segment_sum(data, indices, num_segments):
+    op = UnsortedSegmentSum(
+        [ops.placeholder(data.shape),
+         ops.placeholder(indices.shape, dtype=np.int32)],
+        attrs={"num_segments": num_segments})
+    out, = op.compute((data, indices), None)
+    assert out.shape == op.output.shape and out.dtype == data.dtype
+    return out
+
+
+def add_at_reference(data, indices, num_segments):
+    """The kernel UnsortedSegmentSum used to be: an unbuffered scatter-add."""
+    out = np.zeros((num_segments,) + data.shape[indices.ndim:], data.dtype)
+    np.add.at(out, indices.reshape(-1).astype(np.int64),
+              data.reshape((indices.size,) + out.shape[1:]))
+    return out
+
+
+class TestUnsortedSegmentSum:
+    def test_matches_scatter_add(self, rng):
+        data = rng.standard_normal((6, 5, 4)).astype(np.float32)
+        indices = rng.integers(0, 7, size=(6, 5)).astype(np.int32)
+        np.testing.assert_allclose(segment_sum(data, indices, 9),
+                                   add_at_reference(data, indices, 9),
+                                   rtol=1e-5, atol=1e-6)
+
+    def test_exact_on_integer_valued_rows(self, rng):
+        # Sums of small integers are exact in float32 in any order.
+        data = rng.integers(-8, 9, size=(40, 3)).astype(np.float32)
+        indices = rng.integers(0, 5, size=40).astype(np.int32)
+        np.testing.assert_array_equal(segment_sum(data, indices, 5),
+                                      add_at_reference(data, indices, 5))
+
+    def test_scalar_rows(self, rng):
+        data = rng.integers(-8, 9, size=(4, 6)).astype(np.float32)
+        indices = rng.integers(0, 3, size=(4, 6)).astype(np.int32)
+        out = segment_sum(data, indices, 3)
+        assert out.shape == (3,)
+        np.testing.assert_array_equal(out,
+                                      add_at_reference(data, indices, 3))
+
+    def test_empty_indices_give_zeros(self):
+        out = segment_sum(np.zeros((0, 4), dtype=np.float32),
+                          np.zeros((0,), dtype=np.int32), 3)
+        np.testing.assert_array_equal(out, np.zeros((3, 4), np.float32))
+
+    def test_all_rows_in_one_bucket(self, rng):
+        data = rng.integers(-8, 9, size=(7, 2)).astype(np.float32)
+        out = segment_sum(data, np.full(7, 2, dtype=np.int32), 4)
+        np.testing.assert_array_equal(out[2], data.sum(axis=0))
+        assert not out[[0, 1, 3]].any()
+
+    @pytest.mark.parametrize("bad", [4, -5])
+    def test_out_of_range_index_raises(self, bad):
+        data = np.ones((3, 2), dtype=np.float32)
+        indices = np.array([0, bad, 1], dtype=np.int32)
+        with pytest.raises(IndexError):
+            add_at_reference(data, indices, 4)
+        with pytest.raises(IndexError, match="out of bounds"):
+            segment_sum(data, indices, 4)
+
+    def test_negative_index_aliases_the_positive_row(self):
+        # -1 and num_segments - 1 name one row; a sort that keeps them
+        # apart and assigns each run would keep only the last.
+        data = np.array([[1.0], [10.0], [100.0], [1000.0]], dtype=np.float32)
+        indices = np.array([-1, 3, 0, -1], dtype=np.int32)
+        out = segment_sum(data, indices, 4)
+        np.testing.assert_array_equal(out,
+                                      add_at_reference(data, indices, 4))
+        np.testing.assert_array_equal(out.ravel(), [100.0, 0.0, 0.0, 1011.0])
 
 
 class TestOneHot:

@@ -88,7 +88,8 @@ class TestCheckNumerics:
         x = ops.placeholder((2,), name="x")
         bad = ops.log(x, name="log_op")
         session = Session(fresh_graph, seed=0)
-        with pytest.raises(ExecutionError, match="log_op.*NaN"):
+        with pytest.raises(ExecutionError, match="log_op.*NaN"), \
+                np.errstate(invalid="ignore"):
             session.run(bad, feed_dict={x: np.array([-1.0, 1.0],
                                                     np.float32)},
                         check_numerics=True)
@@ -97,7 +98,8 @@ class TestCheckNumerics:
         x = ops.placeholder((2,), name="x")
         bad = ops.divide(1.0, x, name="div_op")
         session = Session(fresh_graph, seed=0)
-        with pytest.raises(ExecutionError, match="Inf"):
+        with pytest.raises(ExecutionError, match="Inf"), \
+                np.errstate(divide="ignore"):
             session.run(bad, feed_dict={x: np.array([0.0, 1.0],
                                                     np.float32)},
                         check_numerics=True)
@@ -113,8 +115,9 @@ class TestCheckNumerics:
         x = ops.placeholder((2,), name="x")
         bad = ops.log(x)
         session = Session(fresh_graph, seed=0)
-        out = session.run(bad, feed_dict={x: np.array([-1.0, 1.0],
-                                                      np.float32)})
+        with np.errstate(invalid="ignore"):
+            out = session.run(bad, feed_dict={x: np.array([-1.0, 1.0],
+                                                          np.float32)})
         assert np.isnan(out[0])
 
 

@@ -280,7 +280,8 @@ class TestGuardrails:
         out, x = self.build_nan_graph()
         session = Session(fresh_graph, guardrails="raise")
         bad = np.array([[1.0, -1.0], [2.0, 3.0]], dtype=np.float32)
-        with pytest.raises(ExecutionError, match=r"logged.*\(guardrail\)"):
+        with pytest.raises(ExecutionError, match=r"logged.*\(guardrail\)"), \
+                np.errstate(invalid="ignore"):
             session.run(out, feed_dict={x: bad})
 
     def test_zero_policy_patches_and_records(self, fresh_graph):
@@ -288,7 +289,8 @@ class TestGuardrails:
         session = Session(fresh_graph, guardrails="zero")
         bad = np.array([[1.0, -1.0], [2.0, 3.0]], dtype=np.float32)
         tracer = Tracer()
-        result = session.run(out, feed_dict={x: bad}, tracer=tracer)
+        with np.errstate(invalid="ignore"):
+            result = session.run(out, feed_dict={x: bad}, tracer=tracer)
         assert np.isfinite(result).all()
         assert result[0, 1] == 1.0  # the NaN was zeroed before the add
         events = session.degradation_log
@@ -300,7 +302,8 @@ class TestGuardrails:
         out, x = self.build_nan_graph()
         session = Session(fresh_graph)
         bad = np.array([[-1.0, 1.0], [2.0, 3.0]], dtype=np.float32)
-        with pytest.raises(GuardrailViolation) as info:
+        with pytest.raises(GuardrailViolation) as info, \
+                np.errstate(invalid="ignore"):
             session.run(out, feed_dict={x: bad}, guardrails="deoptimize")
         assert info.value.deoptimize_hint is True
 
@@ -317,16 +320,19 @@ class TestGuardrails:
         out, x = self.build_nan_graph()
         session = Session(fresh_graph, guardrails="raise")
         bad = np.array([[-1.0, 1.0], [2.0, 3.0]], dtype=np.float32)
-        result = session.run(out, feed_dict={x: bad}, guardrails="zero")
+        with np.errstate(invalid="ignore"):
+            result = session.run(out, feed_dict={x: bad}, guardrails="zero")
         assert np.isfinite(result).all()
 
     def test_check_numerics_is_sugar_for_raise(self, fresh_graph):
         out, x = self.build_nan_graph()
         session = Session(fresh_graph)
         bad = np.array([[-1.0, 1.0], [2.0, 3.0]], dtype=np.float32)
-        with pytest.raises(ExecutionError) as sugar:
+        with pytest.raises(ExecutionError) as sugar, \
+                np.errstate(invalid="ignore"):
             session.run(out, feed_dict={x: bad}, check_numerics=True)
-        with pytest.raises(ExecutionError) as policy:
+        with pytest.raises(ExecutionError) as policy, \
+                np.errstate(invalid="ignore"):
             session.run(out, feed_dict={x: bad}, guardrails="raise")
         assert type(sugar.value) is type(policy.value)
         assert str(sugar.value) == str(policy.value)
@@ -365,7 +371,8 @@ class TestSafeMode:
         assert session.execution_tier == "safe"
         assert session.effective_options() == PlanOptions.structural()
         bad = np.array([[-1.0, 1.0], [2.0, 3.0]], dtype=np.float32)
-        result = session.run(out, feed_dict={x: bad})  # no raise
+        with np.errstate(invalid="ignore"):
+            result = session.run(out, feed_dict={x: bad})  # no raise
         assert np.isfinite(result).all()
         assert any(e.kind == "guardrail" for e in session.degradation_log)
 

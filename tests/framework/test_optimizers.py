@@ -9,6 +9,7 @@ from repro.framework.graph import get_default_graph
 from repro.framework.optimizers import (AdamOptimizer,
                                         GradientDescentOptimizer,
                                         MomentumOptimizer, RMSPropOptimizer)
+from repro.framework.ops.state_ops import VariableOp
 from repro.framework.session import Session
 
 
@@ -102,6 +103,99 @@ class TestUpdateMath:
         moved = 1.0 - value
         assert moved[0] > 0.0 and moved[1] > 0.0
         assert moved[0] / moved[1] < 10.0
+
+
+def textbook_momentum(grad, state, a):
+    accum = a["momentum"] * state["accumulator"] + grad
+    return {"accumulator": accum,
+            "variable": state["variable"] - a["learning_rate"] * accum}
+
+
+def textbook_rmsprop(grad, state, a):
+    mean_square = (a["decay"] * state["mean_square"]
+                   + (1.0 - a["decay"]) * np.square(grad))
+    denom = np.sqrt(mean_square) + a["epsilon"]
+    momentum = (a["momentum"] * state["momentum_slot"]
+                + a["learning_rate"] * grad / denom)
+    return {"mean_square": mean_square, "momentum_slot": momentum,
+            "variable": state["variable"] - momentum}
+
+
+def textbook_adam(grad, state, a):
+    beta1, beta2 = a["beta1"], a["beta2"]
+    step = float(state["step"]) + 1.0
+    first = beta1 * state["first_moment"] + (1.0 - beta1) * grad
+    second = beta2 * state["second_moment"] + (1.0 - beta2) * np.square(grad)
+    corrected_lr = float(a["learning_rate"] * (1.0 - beta2 ** step) ** 0.5
+                         / (1.0 - beta1 ** step))
+    return {"step": np.float32(step), "first_moment": first,
+            "second_moment": second,
+            "variable": state["variable"] - corrected_lr * first / (
+                np.sqrt(second) + a["epsilon"])}
+
+
+def assert_bitwise_equal(actual, expected):
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.dtype == expected.dtype == np.float32
+    assert actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+APPLY_KERNELS = [
+    ("momentum", lambda: MomentumOptimizer(0.05, momentum=0.9),
+     textbook_momentum),
+    ("rmsprop", lambda: RMSPropOptimizer(0.01, momentum=0.5),
+     textbook_rmsprop),
+    ("adam", lambda: AdamOptimizer(0.01), textbook_adam),
+]
+
+
+class TestApplyKernelsBitwise:
+    """The ``out=`` kernels against the one-expression-per-line formulas.
+
+    Same float32 operations in the same order, so every slot and the
+    variable must agree to the bit, step after step.
+    """
+
+    @pytest.mark.parametrize("shape", [(37, 19), (5,), ()],
+                             ids=["matrix", "vector", "scalar"])
+    @pytest.mark.parametrize("name,make,textbook", APPLY_KERNELS,
+                             ids=[k[0] for k in APPLY_KERNELS])
+    def test_matches_textbook_formula(self, fresh_graph, rng, name, make,
+                                      textbook, shape):
+        initial = rng.standard_normal(shape).astype(np.float32)
+        w = ops.variable(initial, name="w")
+        grad_in = ops.placeholder(shape, name="g")
+        apply_op = make().apply_gradients([(grad_in, w)]).op.inputs[0].op
+        slots = [key for key, value in apply_op.attrs.items()
+                 if isinstance(value, VariableOp)]
+        session = Session(fresh_graph, seed=0)
+        ctx = session._ctx
+        for _ in range(4):
+            grad = rng.standard_normal(shape).astype(np.float32)
+            before = {key: ctx.read_variable(apply_op.attrs[key])
+                      for key in slots}
+            frozen = {key: value.copy() for key, value in before.items()}
+            expected = textbook(grad, before, apply_op.attrs)
+            out, = apply_op.compute((grad,), ctx)
+            for key in slots:
+                stored = ctx.read_variable(apply_op.attrs[key])
+                assert_bitwise_equal(stored, expected[key])
+                # replaced, never mutated: a snapshot may hold the old one
+                assert stored is not before[key]
+                np.testing.assert_array_equal(before[key], frozen[key])
+            assert_bitwise_equal(out, expected["variable"])
+
+    def test_adam_step_slot_stays_zero_dimensional(self, fresh_graph):
+        w = ops.variable(np.ones((3, 2), dtype=np.float32), name="w")
+        train = AdamOptimizer(0.1).minimize(ops.reduce_sum(ops.square(w)))
+        session = Session(fresh_graph, seed=0)
+        step_op = train.op.inputs[0].op.attrs["step"]
+        for expected in (1.0, 2.0, 3.0):
+            session.run(train)
+            step = session._ctx.read_variable(step_op)
+            assert step.shape == () and step.dtype == np.float32
+            assert float(step) == expected
 
 
 class TestStructure:

@@ -156,7 +156,8 @@ class TestCheckNumericsFirstOffender:
         first = ops.log(x, name="first_bad")        # NaN for x < 0
         second = ops.log(first, name="second_bad")  # NaN of NaN
         out = ops.reduce_sum(second, name="total")
-        with pytest.raises(ExecutionError, match="first_bad") as info:
+        with pytest.raises(ExecutionError, match="first_bad") as info, \
+                np.errstate(invalid="ignore"):
             session.run(out, feed_dict={x: np.array([-1.0, 1.0],
                                                     np.float32)},
                         check_numerics=True)
@@ -170,7 +171,8 @@ class TestCheckNumericsFirstOffender:
         shifted = ops.add(x, 1.0, name="clean_shift")
         bad = ops.log(ops.subtract(shifted, 5.0), name="bad_log")
         tracer = Tracer()
-        with pytest.raises(ExecutionError, match="bad_log"):
+        with pytest.raises(ExecutionError, match="bad_log"), \
+                np.errstate(invalid="ignore"):
             session.run(bad, feed_dict={x: np.array([0.0, 1.0],
                                                     np.float32)},
                         tracer=tracer, check_numerics=True)
@@ -329,8 +331,10 @@ class TestValidatedFastPath:
         bad = ops.log(x, name="bad_log")  # -inf
         worse = ops.multiply(bad, 0.0, name="worse")  # nan downstream
         # Validate every step with the guard off...
-        session.run(worse)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            session.run(worse)
         # ...then the guard must still catch the first offender on the
         # validated fast path.
-        with pytest.raises(ExecutionError, match="bad_log"):
+        with pytest.raises(ExecutionError, match="bad_log"), \
+                np.errstate(divide="ignore"):
             session.run(worse, check_numerics=True)
